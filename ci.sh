@@ -62,25 +62,6 @@ cmp /tmp/ci_analyze_1.json /tmp/ci_analyze_2.json
 grep -q '"schema": "compcerto-analysis/1"' /tmp/ci_analyze_1.json
 grep -q '"needed"' /tmp/ci_analyze_1.json
 
-echo "== perf smoke (serial/parallel determinism + BENCH schema) =="
-# The quick profile of the B7 baseline (EXPERIMENTS.md): times each hot
-# path serial vs parallel and *fails itself* on any output-checksum
-# mismatch. We re-check the emitted JSON here so a regression in the
-# emitter (not just the workloads) also fails CI. Timings are not gated —
-# only determinism and well-formedness are.
-cargo run -q --release -p bench --bin perf_campaign -- --quick --out /tmp/ci_bench.json
-grep -q '"schema": "compcerto-perf/1"' /tmp/ci_bench.json
-grep -q '"checksums_match": true' /tmp/ci_bench.json
-# Every workload row must carry matching serial/parallel checksums.
-awk '/"checksum_serial"/ {
-    if (match($0, /"checksum_serial": "[0-9a-f]+"/)) s = substr($0, RSTART+20, RLENGTH-21);
-    if (match($0, /"checksum_parallel": "[0-9a-f]+"/)) p = substr($0, RSTART+22, RLENGTH-23);
-    if (s != p) { print "checksum mismatch: " $0; exit 1 }
-}' /tmp/ci_bench.json
-# The committed baseline must be well-formed too.
-grep -q '"schema": "compcerto-perf/1"' BENCH_PR3.json
-grep -q '"checksums_match": true' BENCH_PR3.json
-
 echo "== interp-throughput smoke (arena/fused dispatch) =="
 # DESIGN.md §13 / EXPERIMENTS.md row B12: re-measure the fixed 64-seed
 # interpretation sweep and gate against the committed BENCH_PR8.json. The
@@ -133,9 +114,12 @@ echo "== differential-testing campaign (quick oracle sweep) =="
 cargo run -q --release -p bench --bin difftest_campaign -- --quick --jobs 1 --out /tmp/ci_difftest_1.json
 cargo run -q --release -p bench --bin difftest_campaign -- --quick --jobs auto --out /tmp/ci_difftest_2.json
 cmp /tmp/ci_difftest_1.json /tmp/ci_difftest_2.json
-# ISSUE 9: `--check` against a matching baseline must exit 0; the
-# flag-mismatch exit-2 contract is covered by bench/tests/difftest_check.
+# `--check` against a matching baseline must exit 0; the flag-mismatch
+# exit-2 contract is covered by bench/tests/check_contract.
 cargo run -q --release -p bench --bin difftest_campaign -- --quick --jobs auto --check /tmp/ci_difftest_1.json
+# The committed 500-seed baseline must reproduce byte for byte, counters
+# included (nested pools run inline, so they are host-invariant).
+cargo run -q --release -p bench --bin difftest_campaign -- --seeds 500 --jobs auto --check DIFFTEST.json
 grep -q '"schema": "compcerto-difftest/1"' /tmp/ci_difftest_1.json
 grep -q '"findings": 0,' /tmp/ci_difftest_1.json
 # The committed 500-seed baseline must be well-formed and clean too.
@@ -154,6 +138,9 @@ echo "== observability gate (counter baseline + overhead) =="
 # finding-free, and metrics-on compilation stays within 5% (+ absolute
 # slack) of metrics-off.
 cargo run -q --release -p bench --bin obs_campaign -- --check OBS.json --max-overhead 5
+# Counters are facts about the work, not the host: the same baseline must
+# hold on a single core (DESIGN.md §10).
+taskset -c 0 cargo run -q --release -p bench --bin obs_campaign -- --check OBS.json
 # The committed baseline itself must be schema-valid and fully covered.
 grep -q '"schema": "compcerto-obs/1"' OBS.json
 grep -q '"complete": true' OBS.json
@@ -177,11 +164,13 @@ echo "== schedule-exploration gate (threaded N x M oracle) =="
 # Re-run the committed 64-seed x 8-schedule campaign and gate against
 # SCHED.json — any cross-stage disagreement under any interleaving, or any
 # drift in the per-schedule verdict checksums, fails the build. The report
-# must be byte-identical across worker-pool widths (per-seed verdicts are
-# pure; the FNV chains fold in seed order).
+# must be byte-identical across worker-pool widths and core counts
+# (per-seed verdicts are pure; the FNV chains fold in seed order; nested
+# pools run inline, so no counter is lost on a helper thread).
 cargo run -q --release -p bench --bin sched_campaign -- --seeds 64 --jobs 1 --check SCHED.json
 cargo run -q --release -p bench --bin sched_campaign -- --seeds 64 --jobs 4 --check SCHED.json
 cargo run -q --release -p bench --bin sched_campaign -- --seeds 64 --jobs 16 --check SCHED.json
+taskset -c 0 cargo run -q --release -p bench --bin sched_campaign -- --seeds 64 --jobs auto --check SCHED.json
 grep -q '"schema": "compcerto-sched/1"' SCHED.json
 grep -q '"findings": 0,' SCHED.json
 grep -q '"schedules_budget_skipped": 0,' SCHED.json

@@ -28,50 +28,40 @@
 //! — the hook the CI kill-and-resume smoke uses.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use bench::ckpt::{self, json_str};
+use bench::campaign::{self, Aggregate, Args, Fail, Resume};
+use bench::ckpt;
 use bench::json::Json;
 use compiler::{
     intern_counter_key, intern_error_class, run_campaign_class, CampaignBase, CampaignCfg,
-    CampaignReport, ClassStats, Counters, Jobs, MUTATION_CLASSES,
+    CampaignReport, ClassStats, Counters, MUTATION_CLASSES,
 };
 
 struct Cli {
     cfg: CampaignCfg,
     ckpt: String,
     resume: bool,
-    max_classes: Option<usize>,
+    max_classes: Option<u64>,
 }
 
-fn parse_args() -> Result<Cli, String> {
+fn parse_args(args: &mut Args) -> Result<Cli, String> {
     let mut cli = Cli {
         cfg: CampaignCfg::default(),
         ckpt: "FAULTINJ.ckpt".to_string(),
         resume: false,
         max_classes: None,
     };
-    let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut take = |name: &str| -> Result<u64, String> {
-            args.next()
-                .ok_or_else(|| format!("{name} needs a value"))?
-                .parse::<u64>()
-                .map_err(|e| format!("{name}: {e}"))
-        };
         match flag.as_str() {
-            "--seed" => cli.cfg.seed = take("--seed")?,
-            "--per-class" => cli.cfg.per_class = take("--per-class")? as usize,
-            "--fuel" => cli.cfg.fuel = take("--fuel")?,
-            "--max-classes" => cli.max_classes = Some(take("--max-classes")? as usize),
+            "--seed" => cli.cfg.seed = args.value(&flag)?,
+            "--per-class" => cli.cfg.per_class = args.value(&flag)?,
+            "--fuel" => cli.cfg.fuel = args.value(&flag)?,
+            "--max-classes" => cli.max_classes = Some(args.value(&flag)?),
             "--resume" => cli.resume = true,
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a value")?;
-                cli.cfg.jobs = Jobs::parse(&v)?;
-            }
-            "--ckpt" => cli.ckpt = args.next().ok_or("--ckpt needs a value")?.to_string(),
-            other => return Err(format!("unknown flag {other}")),
+            "--jobs" => cli.cfg.jobs = args.jobs(&flag)?,
+            "--ckpt" => cli.ckpt = args.value(&flag)?,
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
     Ok(cli)
@@ -86,182 +76,122 @@ fn fingerprint(cfg: &CampaignCfg) -> String {
     )
 }
 
-fn ckpt_json(fp: &str, stats: &[ClassStats], counters: &Counters) -> String {
-    let mut j = String::new();
-    j.push_str("{\n");
-    let _ = writeln!(j, "  \"schema\": \"{}\",", ckpt::CKPT_SCHEMA);
-    j.push_str("  \"bin\": \"faultinj_campaign\",\n");
-    let _ = writeln!(j, "  \"cfg\": \"{}\",", json_str(fp));
-    let _ = writeln!(j, "  \"completed_classes\": {},", stats.len());
-    let cmap: BTreeMap<String, u64> = counters
-        .0
-        .iter()
-        .map(|(k, v)| ((*k).to_string(), *v))
-        .collect();
-    let _ = writeln!(j, "  \"counters\": {},", ckpt::u64_map_json(&cmap));
-    j.push_str("  \"classes\": [\n");
-    for (i, s) in stats.iter().enumerate() {
-        let emap: BTreeMap<String, u64> = s
-            .errors
+/// The finished classes, in [`MUTATION_CLASSES`] order, and their summed
+/// counters.
+#[derive(Default)]
+struct Classes {
+    stats: Vec<ClassStats>,
+    counters: Counters,
+}
+
+impl Aggregate for Classes {
+    fn save(&self) -> Vec<(&'static str, String)> {
+        let rows: Vec<String> = self
+            .stats
             .iter()
-            .map(|(k, v)| ((*k).to_string(), *v as u64))
+            .map(|s| {
+                let errors = s
+                    .errors
+                    .iter()
+                    .map(|(k, v)| ((*k).to_string(), *v as u64))
+                    .collect();
+                format!(
+                    "\n    {{\"class\": \"{}\", \"generated\": {}, \"detected\": {}, \
+                     \"static_caught\": {}, \"caught_both\": {}, \"expected_class\": {}, \
+                     \"errors\": {}}}",
+                    s.class.name(),
+                    s.generated,
+                    s.detected,
+                    s.static_caught,
+                    s.caught_both,
+                    s.expected_class,
+                    ckpt::u64_map_json(&errors)
+                )
+            })
             .collect();
-        let _ = writeln!(
-            j,
-            "    {{\"class\": \"{}\", \"generated\": {}, \"detected\": {}, \
-             \"static_caught\": {}, \"caught_both\": {}, \"expected_class\": {}, \
-             \"errors\": {}}}{}",
-            s.class.name(),
-            s.generated,
-            s.detected,
-            s.static_caught,
-            s.caught_both,
-            s.expected_class,
-            ckpt::u64_map_json(&emap),
-            if i + 1 < stats.len() { "," } else { "" }
-        );
+        vec![
+            ("counters", ckpt::counters_json(&self.counters)),
+            ("classes", format!("[{}\n  ]", rows.join(","))),
+        ]
     }
-    j.push_str("  ]\n");
-    j.push_str("}\n");
-    j
-}
 
-/// Rebuild the completed rows from a validated checkpoint, interning error
-/// class names back to their `&'static str` keys.
-fn from_ckpt(j: &Json) -> Result<(Vec<ClassStats>, Counters), String> {
-    let rows = j
-        .get("classes")
-        .and_then(Json::as_arr)
-        .ok_or("checkpoint: missing `classes`")?;
-    if rows.len() > MUTATION_CLASSES.len() {
-        return Err(format!(
-            "checkpoint: {} classes, campaign only has {}",
-            rows.len(),
-            MUTATION_CLASSES.len()
-        ));
-    }
-    let mut stats = Vec::with_capacity(rows.len());
-    for (ci, row) in rows.iter().enumerate() {
-        let name = row
-            .get("class")
-            .and_then(Json::as_str)
-            .ok_or("checkpoint: class row without `class`")?;
-        let class = MUTATION_CLASSES[ci];
-        if class.name() != name {
-            return Err(format!(
-                "checkpoint: class {ci} is `{name}`, expected `{}`",
-                class.name()
-            ));
+    /// Rebuild the finished rows, interning error class names back to
+    /// their `&'static str` keys.
+    fn load(doc: &Json) -> Result<Classes, String> {
+        let rows = doc
+            .get("classes")
+            .and_then(Json::as_arr)
+            .ok_or("missing `classes`")?;
+        if rows.len() as u64 != ckpt::u64_field(doc, "completed")? {
+            return Err(format!("{} class rows for `completed`", rows.len()));
         }
-        let u = |key: &str| -> Result<usize, String> {
-            row.get(key)
-                .and_then(Json::as_u64)
-                .map(|v| v as usize)
-                .ok_or_else(|| format!("checkpoint: class `{name}` missing `{key}`"))
-        };
-        let mut errors: BTreeMap<&'static str, usize> = BTreeMap::new();
-        let emap = ckpt::u64_map(
-            row.get("errors")
-                .ok_or_else(|| format!("checkpoint: class `{name}` missing `errors`"))?,
-            "errors",
-        )?;
-        for (k, v) in &emap {
-            let interned = intern_error_class(k)
-                .ok_or_else(|| format!("checkpoint: unknown error class `{k}`"))?;
-            errors.insert(interned, *v as usize);
-        }
-        stats.push(ClassStats {
-            class,
-            generated: u("generated")?,
-            detected: u("detected")?,
-            static_caught: u("static_caught")?,
-            caught_both: u("caught_both")?,
-            expected_class: u("expected_class")?,
-            errors,
-        });
-    }
-    let mut counters = Counters::default();
-    let cmap = ckpt::u64_map(
-        j.get("counters").ok_or("checkpoint: missing `counters`")?,
-        "counters",
-    )?;
-    for (k, v) in &cmap {
-        let interned = intern_counter_key(k)
-            .ok_or_else(|| format!("checkpoint: unknown counter key `{k}`"))?;
-        counters.0.insert(interned, *v);
-    }
-    Ok((stats, counters))
-}
-
-/// `Ok(Some(report))` = campaign complete; `Ok(None)` = paused at a
-/// checkpoint (`--max-classes`).
-fn run(cli: &Cli) -> Result<Option<CampaignReport>, String> {
-    let fp = fingerprint(&cli.cfg);
-    let (mut stats, mut counters) = if cli.resume {
-        let j = ckpt::load(&cli.ckpt, "faultinj_campaign", &fp)?;
-        let (stats, counters) = from_ckpt(&j)?;
-        eprintln!(
-            "resumed from {}: {}/{} classes already done",
-            cli.ckpt,
-            stats.len(),
-            MUTATION_CLASSES.len()
-        );
-        (stats, counters)
-    } else {
-        (Vec::new(), Counters::default())
-    };
-
-    if stats.len() < MUTATION_CLASSES.len() {
-        let base = CampaignBase::prepare(&cli.cfg)?;
-        let mut classes_this_run = 0usize;
-        while stats.len() < MUTATION_CLASSES.len() {
-            if let Some(max) = cli.max_classes {
-                if classes_this_run >= max {
-                    eprintln!(
-                        "pausing after {max} classes ({} of {} done; checkpoint at {})",
-                        stats.len(),
-                        MUTATION_CLASSES.len(),
-                        cli.ckpt
-                    );
-                    return Ok(None);
-                }
+        let mut stats = Vec::with_capacity(rows.len());
+        for (row, class) in rows.iter().zip(MUTATION_CLASSES) {
+            let name = row.get("class").and_then(Json::as_str).unwrap_or("");
+            if class.name() != name {
+                return Err(format!("class row `{name}`, expected `{}`", class.name()));
             }
-            let (st, c) = run_campaign_class(&cli.cfg, &base, stats.len());
-            stats.push(st);
-            counters.add(&c);
-            classes_this_run += 1;
-            ckpt::write_atomic(&cli.ckpt, &ckpt_json(&fp, &stats, &counters))?;
+            let u = |key: &str| ckpt::u64_field(row, key).map(|v| v as usize);
+            let mut errors: BTreeMap<&'static str, usize> = BTreeMap::new();
+            for (k, v) in ckpt::u64_map(row, "errors")? {
+                let interned =
+                    intern_error_class(&k).ok_or_else(|| format!("unknown error class `{k}`"))?;
+                errors.insert(interned, v as usize);
+            }
+            stats.push(ClassStats {
+                class,
+                generated: u("generated")?,
+                detected: u("detected")?,
+                static_caught: u("static_caught")?,
+                caught_both: u("caught_both")?,
+                expected_class: u("expected_class")?,
+                errors,
+            });
         }
+        Ok(Classes {
+            stats,
+            counters: ckpt::counters(doc, "counters", intern_counter_key)?,
+        })
     }
-    ckpt::remove(&cli.ckpt);
-    Ok(Some(CampaignReport {
+}
+
+/// One class per checkpointed block. Resume and pause notes go to stderr
+/// (from the harness), so stdout stays comparable across a resume.
+fn run(cli: &Cli) -> Result<(), Fail> {
+    let resume = Resume {
+        bin: "faultinj_campaign",
+        path: cli.ckpt.clone(),
+        fingerprint: fingerprint(&cli.cfg),
+        resume: cli.resume,
+        max_blocks: cli.max_classes,
+    };
+    let base = CampaignBase::prepare(&cli.cfg).map_err(Fail::Usage)?;
+    let total = MUTATION_CLASSES.len() as u64;
+    let Some(done) = resume.run(total, 1, "classes", Classes::default(), |agg, units| {
+        let (st, c) = run_campaign_class(&cli.cfg, &base, units.start as usize);
+        agg.stats.push(st);
+        agg.counters.add(&c);
+    })?
+    else {
+        return Ok(());
+    };
+    let report = CampaignReport {
         cfg: cli.cfg.clone(),
-        stats,
-        counters,
-    }))
+        stats: done.stats,
+        counters: done.counters,
+    };
+    println!("{report}");
+    match report.total_escapes() {
+        0 => Ok(()),
+        n => Err(Fail::Finding(format!("{n} mutant(s) escaped detection"))),
+    }
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_args() {
-        Ok(cli) => cli,
-        Err(e) => {
-            eprintln!("faultinj_campaign: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match run(&cli) {
-        Ok(Some(report)) => {
-            println!("{report}");
-            if report.total_escapes() > 0 {
-                ExitCode::from(1)
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Ok(None) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("faultinj_campaign: {e}");
-            ExitCode::from(2)
-        }
-    }
+    campaign::main(
+        "faultinj_campaign [--seed N] [--per-class N] [--fuel N] [--jobs N|auto] \
+         [--ckpt PATH] [--resume] [--max-classes N]",
+        parse_args,
+        run,
+    )
 }

@@ -32,15 +32,16 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bench::json::{self, Json};
+use bench::campaign::{self, Args, Baseline, Fail};
+use bench::json::Json;
 use compcerto_core::iface::CQuery;
 use compcerto_core::lts::RunBudget;
 use compcerto_core::symtab::SymbolTable;
 use compcerto_gen::generate::gen_queries;
 use compcerto_gen::{generate, GenCfg};
 use compiler::{
-    available_parallelism, check_query, compile_all, run_stage, CompilerOptions, ExtLib,
-    QueryVerdict, StagePrograms, STAGES,
+    available_parallelism, check_query, compile_all, fnv1a, run_stage, CompilerOptions, ExtLib,
+    QueryVerdict, StagePrograms, FNV_OFFSET, STAGES,
 };
 use mem::{Mem, Val};
 
@@ -53,17 +54,6 @@ const QUERIES: usize = 3;
 const FUEL: u64 = 2_000_000;
 /// Timed sweep repetitions (median taken).
 const REPS: usize = 5;
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, b| (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME))
-}
 
 /// One seed's compiled stage programs and query inputs — everything the
 /// timed sweep needs, built once outside the timed region.
@@ -284,25 +274,19 @@ struct Cli {
     min_ratio: f64,
 }
 
-fn parse_args() -> Result<Cli, String> {
+fn parse_args(args: &mut Args) -> Result<Cli, String> {
     let mut cli = Cli {
         out: None,
         before: None,
         check: None,
         min_ratio: 4.0,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => cli.out = Some(args.next().ok_or("--out needs a value")?),
-            "--before" => cli.before = Some(args.next().ok_or("--before needs a value")?),
-            "--check" => cli.check = Some(args.next().ok_or("--check needs a value")?),
-            "--min-ratio" => {
-                let v = args.next().ok_or("--min-ratio needs a value")?;
-                cli.min_ratio = v
-                    .parse()
-                    .map_err(|e| format!("bad --min-ratio `{v}`: {e}"))?;
-            }
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--out" => cli.out = Some(args.value(&flag)?),
+            "--before" => cli.before = Some(args.value(&flag)?),
+            "--check" => cli.check = Some(args.value(&flag)?),
+            "--min-ratio" => cli.min_ratio = args.value(&flag)?,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -312,13 +296,16 @@ fn parse_args() -> Result<Cli, String> {
     Ok(cli)
 }
 
-fn load_json(path: &str) -> Result<Json, String> {
-    let src =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    json::parse(&src).map_err(|e| format!("`{path}`: {e}"))
+/// A prior `compcerto-interp/1` report (`--check` or `--before`).
+fn load_report(path: &Option<String>) -> Result<Option<Baseline>, Fail> {
+    path.as_deref()
+        .map(|p| Baseline::load(p, "compcerto-interp/1"))
+        .transpose()
 }
 
-fn run(cli: &Cli) -> Result<(), String> {
+fn run(cli: &Cli) -> Result<(), Fail> {
+    let check = load_report(&cli.check)?;
+    let before = load_report(&cli.before)?;
     let cores = available_parallelism();
     println!(
         "interp_campaign: {SEEDS} seeds x {QUERIES} queries, fuel {FUEL}, median of {REPS}"
@@ -327,11 +314,11 @@ fn run(cli: &Cli) -> Result<(), String> {
     println!("compiling seed block (untimed setup)...");
     let mut block = Vec::with_capacity(SEEDS as usize);
     for seed in 0..SEEDS {
-        block.push(prepare(seed)?);
+        block.push(prepare(seed).map_err(Fail::Finding)?);
     }
     let budget = RunBudget::with_fuel(FUEL).no_trace();
 
-    let m = measure(&block, &budget)?;
+    let m = measure(&block, &budget).map_err(Fail::Finding)?;
     println!(
         "interpretation sweep: {:.3} seeds/sec (median {:.3}s; {} agree, {} skip, {} findings)",
         m.seeds_per_sec, m.sweep_secs, m.agrees, m.skips, m.findings
@@ -350,18 +337,18 @@ fn run(cli: &Cli) -> Result<(), String> {
     }
     println!("{:-<56}", "");
 
-    if let Some(path) = &cli.check {
-        let doc = load_json(path)?;
-        let (_committed_sps, committed_ck) = parsed_measurement(&doc)?;
+    if let Some(base) = &check {
+        let (doc, path) = (&base.doc, &base.path);
+        let (_committed_sps, committed_ck) = parsed_measurement(doc).map_err(Fail::Usage)?;
         let now_ck = format!("{:016x}", m.checksum);
         if now_ck != committed_ck {
-            return Err(format!(
+            return Err(Fail::Finding(format!(
                 "verdict checksum {now_ck} != committed {committed_ck} in `{path}` — \
                  the interpreters' observable behaviour drifted"
-            ));
+            )));
         }
         println!("checksum gate: matches `{path}` ✓");
-        match parsed_before(&doc) {
+        match parsed_before(doc) {
             Some(before_sps) => {
                 let ratio = m.seeds_per_sec / before_sps.max(1e-9);
                 let gated = cores >= 4;
@@ -374,10 +361,10 @@ fn run(cli: &Cli) -> Result<(), String> {
                     if gated { "gated" } else { "advisory: <4 cores" }
                 );
                 if gated && ratio < cli.min_ratio {
-                    return Err(format!(
+                    return Err(Fail::Finding(format!(
                         "interp throughput regressed: {ratio:.2}x < {:.1}x floor",
                         cli.min_ratio
-                    ));
+                    )));
                 }
             }
             None => println!("no `before` block in `{path}`; ratio gate skipped"),
@@ -395,15 +382,15 @@ fn run(cli: &Cli) -> Result<(), String> {
     j.push_str(&format!("  \"reps\": {REPS},\n"));
     j.push_str(&format!("  \"cores\": {cores},\n"));
     let mut ratio = None;
-    if let Some(path) = &cli.before {
-        let doc = load_json(path)?;
-        let (before_sps, before_ck) = parsed_measurement(&doc)?;
+    if let Some(base) = &before {
+        let (before_sps, before_ck) = parsed_measurement(&base.doc).map_err(Fail::Usage)?;
         let now_ck = format!("{:016x}", m.checksum);
         if now_ck != before_ck {
-            return Err(format!(
-                "verdict checksum {now_ck} != before-measurement {before_ck} in `{path}` — \
-                 refusing to report a speedup over different behaviour"
-            ));
+            return Err(Fail::Finding(format!(
+                "verdict checksum {now_ck} != before-measurement {before_ck} in `{}` — \
+                 refusing to report a speedup over different behaviour",
+                base.path
+            )));
         }
         ratio = Some(m.seeds_per_sec / before_sps.max(1e-9));
         j.push_str(&format!(
@@ -423,29 +410,16 @@ fn run(cli: &Cli) -> Result<(), String> {
     }
     j.push_str("}\n");
 
-    if let Some(out) = &cli.out {
-        std::fs::write(out, j).map_err(|e| format!("cannot write `{out}`: {e}"))?;
-        println!("wrote {out}");
+    match &cli.out {
+        Some(out) => campaign::deliver(&j, None, out),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_args() {
-        Ok(c) => c,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: interp_campaign [--out PATH] [--before PATH] [--check PATH] [--min-ratio R]"
-            );
-            return ExitCode::from(2);
-        }
-    };
-    match run(&cli) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::from(1)
-        }
-    }
+    campaign::main(
+        "interp_campaign [--out PATH] [--before PATH] [--check PATH] [--min-ratio R]",
+        parse_args,
+        run,
+    )
 }

@@ -30,14 +30,13 @@
 //!     [--out PATH | --check PATH]
 //! ```
 
-use std::collections::BTreeSet;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use compcerto_gen::Coverage;
+use bench::campaign::{self, Args, Baseline, Fail, ObsFold};
 use compiler::{
     compile_all, normalize_metrics_json, par_map, pool_stats, run_seed_obs, CompilerOptions,
-    Counters, DifftestCfg, Jobs, MetricsReport, SeedOutcome, OBS_SCHEMA, STAGES,
+    DifftestCfg, Jobs, MetricsReport, SeedOutcome, OBS_SCHEMA, STAGES,
 };
 
 /// The five golden workloads, embedded so the binary is cwd-independent.
@@ -58,7 +57,7 @@ struct Cli {
     check: Option<String>,
 }
 
-fn parse_args() -> Result<Cli, String> {
+fn parse_args(args: &mut Args) -> Result<Cli, String> {
     let mut cli = Cli {
         seeds: 16,
         jobs: Jobs::Auto,
@@ -67,37 +66,14 @@ fn parse_args() -> Result<Cli, String> {
         out: "OBS.json".to_string(),
         check: None,
     };
-    let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--seeds" => {
-                cli.seeds = args
-                    .next()
-                    .ok_or("--seeds needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?;
-            }
-            "--reps" => {
-                cli.reps = args
-                    .next()
-                    .ok_or("--reps needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--reps: {e}"))?;
-            }
-            "--max-overhead" => {
-                cli.max_overhead = Some(
-                    args.next()
-                        .ok_or("--max-overhead needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--max-overhead: {e}"))?,
-                );
-            }
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a value")?;
-                cli.jobs = Jobs::parse(&v)?;
-            }
-            "--out" => cli.out = args.next().ok_or("--out needs a value")?,
-            "--check" => cli.check = Some(args.next().ok_or("--check needs a value")?),
+            "--seeds" => cli.seeds = args.value(&flag)?,
+            "--reps" => cli.reps = args.value(&flag)?,
+            "--max-overhead" => cli.max_overhead = Some(args.value(&flag)?),
+            "--jobs" => cli.jobs = args.jobs(&flag)?,
+            "--out" => cli.out = args.value(&flag)?,
+            "--check" => cli.check = Some(args.value(&flag)?),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -125,36 +101,26 @@ fn time_compiles(reps: usize, opts: CompilerOptions) -> Result<f64, String> {
     Ok(t0.elapsed().as_secs_f64() * 1000.0)
 }
 
+#[derive(Default)]
 struct DifftestPhase {
     agree: usize,
     skipped: usize,
     findings: usize,
-    counters: Counters,
-    coverage: Coverage,
-    stages: BTreeSet<&'static str>,
+    obs: ObsFold,
 }
 
 fn difftest_phase(seeds: u64, jobs: Jobs) -> DifftestPhase {
     let cfg = DifftestCfg::quick();
     let block: Vec<u64> = (0..seeds).collect();
     let results = par_map(jobs, &block, |_, &s| run_seed_obs(s, &cfg));
-    let mut out = DifftestPhase {
-        agree: 0,
-        skipped: 0,
-        findings: 0,
-        counters: Counters::default(),
-        coverage: Coverage::default(),
-        stages: BTreeSet::new(),
-    };
+    let mut out = DifftestPhase::default();
     for (report, obs) in &results {
         match &report.outcome {
             SeedOutcome::Agree { .. } => out.agree += 1,
             SeedOutcome::Skipped(_) => out.skipped += 1,
             SeedOutcome::Finding { .. } => out.findings += 1,
         }
-        out.counters.add(&obs.counters);
-        out.coverage.merge(&obs.coverage);
-        out.stages.extend(obs.stages_compared.iter().copied());
+        out.obs.add(obs);
     }
     out
 }
@@ -193,44 +159,7 @@ fn render_json(
     j.push_str(&format!("    \"agree\": {},\n", dt.agree));
     j.push_str(&format!("    \"skipped\": {},\n", dt.skipped));
     j.push_str(&format!("    \"findings\": {},\n", dt.findings));
-    j.push_str(&format!(
-        "    \"counters\": {},\n",
-        dt.counters.to_json_object(4)
-    ));
-    j.push_str("    \"gen_coverage\": {\n");
-    j.push_str(&format!("      \"complete\": {},\n", dt.coverage.complete()));
-    j.push_str(&format!(
-        "      \"missing\": [{}],\n",
-        dt.coverage
-            .missing()
-            .iter()
-            .map(|m| format!("\"{m}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    j.push_str("      \"counters\": {\n");
-    let entries = dt.coverage.counter_entries();
-    for (i, (k, v)) in entries.iter().enumerate() {
-        j.push_str(&format!(
-            "        \"{k}\": {v}{}\n",
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    j.push_str("      }\n");
-    j.push_str("    },\n");
-    j.push_str(&format!(
-        "    \"stages_compared\": [{}],\n",
-        dt.stages
-            .iter()
-            .map(|s| format!("\"{s}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    j.push_str(&format!(
-        "    \"stage_pairs\": \"{}/{}\"\n",
-        dt.stages.len(),
-        STAGES.len() - 1
-    ));
+    j.push_str(&dt.obs.report_members());
     j.push_str("  },\n");
     j.push_str("  \"pool\": {\n");
     j.push_str(&format!("    \"pools\": {},\n", pool.pools));
@@ -253,14 +182,18 @@ fn render_json(
     j
 }
 
-fn run(cli: &Cli) -> Result<ExitCode, String> {
+fn run(cli: &Cli) -> Result<(), Fail> {
+    let baseline = match &cli.check {
+        Some(path) => Some(Baseline::load(path, OBS_SCHEMA)?),
+        None => None,
+    };
     println!(
         "obs_campaign: seeds={} reps={} (quick difftest profile)",
         cli.seeds, cli.reps
     );
 
     // Phase 1 — golden compile metrics.
-    let golden = golden_phase()?;
+    let golden = golden_phase().map_err(Fail::Finding)?;
     println!(
         "golden: {} units, {} counter keys",
         golden.items,
@@ -275,15 +208,16 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
         dt.agree,
         dt.skipped,
         dt.findings,
-        dt.stages.len(),
+        dt.obs.stages.len(),
         STAGES.len() - 1,
-        dt.coverage.complete()
+        dt.obs.coverage.complete()
     );
 
     // Phase 3 — overhead probe (volatile; reported, optionally gated with
     // absolute slack).
-    let off_ms = time_compiles(cli.reps, CompilerOptions::validated())?;
-    let on_ms = time_compiles(cli.reps, CompilerOptions::validated().with_metrics())?;
+    let off_ms = time_compiles(cli.reps, CompilerOptions::validated()).map_err(Fail::Finding)?;
+    let on_ms = time_compiles(cli.reps, CompilerOptions::validated().with_metrics())
+        .map_err(Fail::Finding)?;
     let overhead_pct = if off_ms > 0.0 {
         (on_ms - off_ms) / off_ms * 100.0
     } else {
@@ -300,10 +234,10 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
         eprintln!("error: difftest sweep produced {} finding(s)", dt.findings);
         failed = true;
     }
-    if !dt.coverage.complete() {
+    if !dt.obs.coverage.complete() {
         eprintln!(
             "error: grammar coverage incomplete, missing: {:?}",
-            dt.coverage.missing()
+            dt.obs.coverage.missing()
         );
         failed = true;
     }
@@ -322,57 +256,23 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
         }
     }
 
-    if let Some(baseline_path) = &cli.check {
-        let baseline = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("cannot read baseline `{baseline_path}`: {e}"))?;
-        let want = normalize_metrics_json(&baseline)
-            .map_err(|e| format!("baseline `{baseline_path}`: {e}"))?;
-        let got = normalize_metrics_json(&doc)?;
-        if want == got {
-            println!("check: counters match `{baseline_path}` (normalized)");
-        } else {
-            eprintln!(
-                "error: deterministic counters drifted from `{baseline_path}`; \
-                 regenerate with `cargo run --release -p bench --bin obs_campaign` \
-                 and commit the diff if intended"
-            );
-            for (lw, lg) in want.lines().zip(got.lines()) {
-                if lw != lg {
-                    eprintln!("  baseline: {lw}");
-                    eprintln!("  current:  {lg}");
-                }
-            }
-            failed = true;
-        }
-    } else {
-        std::fs::write(&cli.out, &doc).map_err(|e| format!("cannot write `{}`: {e}", cli.out))?;
-        println!("wrote {}", cli.out);
+    // Counters are gated; the volatile `pool`/`timings_ms` sections are
+    // normalized away on both sides, so wall-clock never is.
+    match &baseline {
+        Some(base) => base.compare_by(&doc, normalize_metrics_json)?,
+        None => campaign::deliver(&doc, None, &cli.out)?,
     }
-
-    Ok(if failed {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    })
+    if failed {
+        return Err(Fail::Finding("observability gates failed".to_string()));
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_args() {
-        Ok(c) => c,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: obs_campaign [--seeds N] [--jobs N|auto] [--reps N] \
-                 [--max-overhead PCT] [--out PATH | --check PATH]"
-            );
-            return ExitCode::from(2);
-        }
-    };
-    match run(&cli) {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::from(2)
-        }
-    }
+    campaign::main(
+        "obs_campaign [--seeds N] [--jobs N|auto] [--reps N] [--max-overhead PCT] \
+         [--out PATH | --check PATH]",
+        parse_args,
+        run,
+    )
 }

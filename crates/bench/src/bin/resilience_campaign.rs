@@ -33,49 +33,37 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+use bench::campaign::{self, Args, Baseline, Fail};
 use bench::ckpt::json_str;
 use compcerto_core::lts::RunBudget;
 use compiler::closed::{run_closed_budgeted, Closed};
 use compiler::envfault::{FaultClass, FaultPlan, FAULT_CLASSES};
 use compiler::{
-    compile_all, compile_all_jobs, contain, par_map, CompiledUnit, CompilerOptions, ExtLib, Jobs,
+    compile_all, compile_all_jobs, contain, fnv1a, par_map, CompiledUnit, CompilerOptions, ExtLib,
+    Jobs, FNV_OFFSET,
 };
 use compcerto_core::symtab::SymbolTable;
 
 struct Cli {
     jobs: Jobs,
     per_class: u64,
-    out: Option<String>,
+    out: String,
     check: Option<String>,
 }
 
-fn parse_args() -> Result<Cli, String> {
+fn parse_args(args: &mut Args) -> Result<Cli, String> {
     let mut cli = Cli {
         jobs: Jobs::Auto,
         per_class: 60,
-        out: Some("RESIL.json".to_string()),
+        out: "RESIL.json".to_string(),
         check: None,
     };
-    let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--per-class" => {
-                cli.per_class = args
-                    .next()
-                    .ok_or("--per-class needs a value")?
-                    .parse::<u64>()
-                    .map_err(|e| format!("--per-class: {e}"))?
-                    .max(1);
-            }
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a value")?;
-                cli.jobs = Jobs::parse(&v)?;
-            }
-            "--out" => cli.out = Some(args.next().ok_or("--out needs a value")?),
-            "--check" => {
-                cli.check = Some(args.next().ok_or("--check needs a value")?);
-                cli.out = None;
-            }
+            "--per-class" => cli.per_class = args.value::<u64>(&flag)?.max(1),
+            "--jobs" => cli.jobs = args.jobs(&flag)?,
+            "--out" => cli.out = args.value(&flag)?,
+            "--check" => cli.check = Some(args.value(&flag)?),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -137,14 +125,9 @@ fn panic_label(msg: &str) -> String {
 /// A cheap stable digest of a compiled batch (worker-panic runs compare
 /// the healed batch against the unfaulted one).
 fn batch_digest(units: &[CompiledUnit]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for u in units {
-        for b in format!("{:?}", u.asm).bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    units
+        .iter()
+        .fold(FNV_OFFSET, |h, u| fnv1a(h, format!("{:?}", u.asm).as_bytes()))
 }
 
 /// One class's injection sweep: `per_class` outcomes, histogrammed.
@@ -158,7 +141,7 @@ fn sweep(
     class: FaultClass,
     unit: &CompiledUnit,
     symtab: &SymbolTable,
-) -> ClassRow {
+) -> Result<ClassRow, Fail> {
     let sites: Vec<u64> = (1..=cli.per_class).collect();
     let labels: Vec<String> = match class {
         // Thread-local classes: arm inside the closure. A pool item runs
@@ -204,8 +187,7 @@ fn sweep(
             let baseline = match compile_all(&POOL_SRCS, CompilerOptions::default()) {
                 Ok((units, _)) => batch_digest(&units),
                 Err(e) => {
-                    eprintln!("resilience_campaign: pool workload does not compile: {e:?}");
-                    std::process::exit(2);
+                    return Err(Fail::Finding(format!("pool workload does not compile: {e:?}")))
                 }
             };
             sites
@@ -231,7 +213,7 @@ fn sweep(
     for l in labels {
         *outcomes.entry(l).or_insert(0) += 1;
     }
-    ClassRow { class, outcomes }
+    Ok(ClassRow { class, outcomes })
 }
 
 fn render(cli: &Cli, rows: &[ClassRow]) -> String {
@@ -266,41 +248,38 @@ fn render(cli: &Cli, rows: &[ClassRow]) -> String {
     j
 }
 
-fn main() -> ExitCode {
-    let cli = match parse_args() {
-        Ok(c) => c,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!(
-                "usage: resilience_campaign [--jobs N|auto] [--per-class N] \
-                 [--out PATH | --check PATH]"
-            );
-            return ExitCode::from(2);
+fn run(cli: &Cli) -> Result<(), Fail> {
+    let baseline = match &cli.check {
+        Some(path) => {
+            let base = Baseline::load(path, "compcerto-resil/1")?;
+            let regen = format!("--per-class {}", base.header("per_class"));
+            base.match_header(
+                "resilience_campaign",
+                &regen,
+                &[("per_class", "per_class", cli.per_class.to_string())],
+            )?;
+            Some(base)
         }
+        None => None,
     };
 
     // The shared closed workload, compiled once with no faults armed.
     let (unit, symtab) = match compile_all(&[CLOSED_SRC], CompilerOptions::default()) {
         Ok((mut units, symtab)) => (units.remove(0), symtab),
-        Err(e) => {
-            eprintln!("resilience_campaign: workload does not compile: {e:?}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return Err(Fail::Finding(format!("workload does not compile: {e:?}"))),
     };
 
-    let rows: Vec<ClassRow> = FAULT_CLASSES
-        .iter()
-        .map(|&class| {
-            let row = sweep(&cli, class, &unit, &symtab);
-            println!(
-                "{:<16} {} injections, {} distinct outcomes",
-                row.class.name(),
-                cli.per_class,
-                row.outcomes.len()
-            );
-            row
-        })
-        .collect();
+    let mut rows = Vec::with_capacity(FAULT_CLASSES.len());
+    for &class in &FAULT_CLASSES {
+        let row = sweep(cli, class, &unit, &symtab)?;
+        println!(
+            "{:<16} {} injections, {} distinct outcomes",
+            row.class.name(),
+            cli.per_class,
+            row.outcomes.len()
+        );
+        rows.push(row);
+    }
 
     // The hard gate: no injection may surface as an unexplained failure.
     let mut bad = 0u64;
@@ -312,40 +291,23 @@ fn main() -> ExitCode {
                 || label == "timed-out"
                 || label == "contained-panic:alloc-exhaustion";
             if !ok {
-                eprintln!(
-                    "unexpected outcome for {}: {label} x{n}",
-                    row.class.name()
-                );
+                eprintln!("unexpected outcome for {}: {label} x{n}", row.class.name());
                 bad += n;
             }
         }
     }
 
-    let doc = render(&cli, &rows);
-    if let Some(baseline_path) = &cli.check {
-        let baseline = match std::fs::read_to_string(baseline_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: cannot read `{baseline_path}`: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if baseline != doc {
-            eprintln!("check: `{baseline_path}` differs from the regenerated report");
-            return ExitCode::from(1);
-        }
-        println!("check: resilience outcomes match `{baseline_path}`");
-    }
-    if let Some(out) = &cli.out {
-        if let Err(e) = std::fs::write(out, &doc) {
-            eprintln!("error: cannot write `{out}`: {e}");
-            return ExitCode::from(1);
-        }
-        println!("wrote {out}");
-    }
+    campaign::deliver(&render(cli, &rows), baseline.as_ref(), &cli.out)?;
     if bad > 0 {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
+        return Err(Fail::Finding(format!("{bad} injection(s) with an unexpected outcome")));
     }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    campaign::main(
+        "resilience_campaign [--jobs N|auto] [--per-class N] [--out PATH | --check PATH]",
+        parse_args,
+        run,
+    )
 }

@@ -30,9 +30,12 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use bench::campaign::{self, Args, Baseline, Fail};
 use bench::json::{self, Json};
 use compcerto_gen::{generate, GenCfg};
-use compiler::{available_parallelism, CompilerOptions, Jobs, ServeConfig, Server};
+use compiler::{
+    available_parallelism, fnv1a, CompilerOptions, Jobs, ServeConfig, Server, FNV_OFFSET,
+};
 
 /// Number of generated batches (one `compile` request each).
 const BATCHES: u64 = 24;
@@ -41,15 +44,6 @@ const BATCHES: u64 = 24;
 const WARM_REPS: usize = 5;
 /// The `--jobs` settings the cold responses must be invariant under.
 const JOBS_MATRIX: [u64; 3] = [1, 4, 16];
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, b| (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME))
-}
 
 /// The fixed three-unit batch for the partial-hit invariant: editing one
 /// function body must leave its siblings' cache keys untouched.
@@ -321,23 +315,17 @@ struct Cli {
     min_ratio: f64,
 }
 
-fn parse_args() -> Result<Cli, String> {
+fn parse_args(args: &mut Args) -> Result<Cli, String> {
     let mut cli = Cli {
         out: None,
         check: None,
         min_ratio: 5.0,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => cli.out = Some(args.next().ok_or("--out needs a value")?),
-            "--check" => cli.check = Some(args.next().ok_or("--check needs a value")?),
-            "--min-ratio" => {
-                let v = args.next().ok_or("--min-ratio needs a value")?;
-                cli.min_ratio = v
-                    .parse()
-                    .map_err(|e| format!("bad --min-ratio `{v}`: {e}"))?;
-            }
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--out" => cli.out = Some(args.value(&flag)?),
+            "--check" => cli.check = Some(args.value(&flag)?),
+            "--min-ratio" => cli.min_ratio = args.value(&flag)?,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -347,10 +335,14 @@ fn parse_args() -> Result<Cli, String> {
     Ok(cli)
 }
 
-fn run(cli: &Cli) -> Result<(), String> {
+fn run(cli: &Cli) -> Result<(), Fail> {
+    let check = match &cli.check {
+        Some(path) => Some(Baseline::load(path, "compcerto-serve-bench/1")?),
+        None => None,
+    };
     let cores = available_parallelism();
     println!("serve_campaign: {BATCHES} batches, warm median of {WARM_REPS}, jobs matrix {JOBS_MATRIX:?}");
-    let m = measure()?;
+    let m = measure().map_err(Fail::Finding)?;
     let speedup = m.cold_secs / m.warm_secs.max(1e-9);
     println!(
         "cold: {:.3}s ({} units compiled), warm: {:.3}s (all {} hits) — {speedup:.2}x",
@@ -358,19 +350,19 @@ fn run(cli: &Cli) -> Result<(), String> {
     );
     println!("artifact checksum: {:016x} (jobs-invariant, restart-invariant)", m.checksum);
 
-    if let Some(path) = &cli.check {
-        let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        let doc = json::parse(&src).map_err(|e| format!("`{path}`: {e}"))?;
-        let committed_ck = doc
+    if let Some(base) = &check {
+        let path = &base.path;
+        let committed_ck = base
+            .doc
             .get("artifact_checksum")
             .and_then(Json::as_str)
-            .ok_or_else(|| format!("`{path}` has no artifact_checksum"))?;
+            .ok_or_else(|| Fail::Usage(format!("`{path}` has no artifact_checksum")))?;
         let now_ck = format!("{:016x}", m.checksum);
         if now_ck != committed_ck {
-            return Err(format!(
+            return Err(Fail::Finding(format!(
                 "artifact checksum {now_ck} != committed {committed_ck} in `{path}` — \
                  the server's compiled output drifted"
-            ));
+            )));
         }
         println!("checksum gate: matches `{path}` ✓");
         let gated = cores >= 4;
@@ -380,36 +372,24 @@ fn run(cli: &Cli) -> Result<(), String> {
             if gated { "gated" } else { "advisory: <4 cores" }
         );
         if gated && speedup < cli.min_ratio {
-            return Err(format!(
+            return Err(Fail::Finding(format!(
                 "warm-cache speedup regressed: {speedup:.2}x < {:.1}x floor",
                 cli.min_ratio
-            ));
+            )));
         }
         return Ok(());
     }
 
-    if let Some(out) = &cli.out {
-        std::fs::write(out, report_json(&m, cores))
-            .map_err(|e| format!("cannot write `{out}`: {e}"))?;
-        println!("wrote {out}");
+    match &cli.out {
+        Some(out) => campaign::deliver(&report_json(&m, cores), None, out),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 fn main() -> ExitCode {
-    let cli = match parse_args() {
-        Ok(c) => c,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("usage: serve_campaign [--out PATH] [--check PATH] [--min-ratio R]");
-            return ExitCode::from(2);
-        }
-    };
-    match run(&cli) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::from(1)
-        }
-    }
+    campaign::main(
+        "serve_campaign [--out PATH] [--check PATH] [--min-ratio R]",
+        parse_args,
+        run,
+    )
 }

@@ -26,6 +26,9 @@
 //! the static layer (the abstract-interpretation validators closed the
 //! last gap, rtl-constant-drift — DESIGN.md §12).
 
+use std::process::ExitCode;
+
+use bench::campaign::{self, Args, Fail};
 use compiler::{
     compile_all_jobs, par_map, run_campaign, CampaignCfg, CompilerOptions, Jobs, WorkloadCfg,
     WorkloadGen,
@@ -111,59 +114,31 @@ fn honest_gate(seed: u64, jobs: Jobs) -> Result<usize, String> {
     Ok(checked)
 }
 
-fn parse_args() -> Result<CampaignCfg, String> {
+fn parse_args(args: &mut Args) -> Result<CampaignCfg, String> {
     let mut cfg = CampaignCfg::default();
-    let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut take = |name: &str| -> Result<u64, String> {
-            args.next()
-                .ok_or_else(|| format!("{name} needs a value"))?
-                .parse::<u64>()
-                .map_err(|e| format!("{name}: {e}"))
-        };
         match flag.as_str() {
-            "--seed" => cfg.seed = take("--seed")?,
-            "--per-class" => cfg.per_class = take("--per-class")? as usize,
-            "--fuel" => cfg.fuel = take("--fuel")?,
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a value")?;
-                cfg.jobs = Jobs::parse(&v)?;
-            }
-            other => return Err(format!("unknown flag {other}")),
+            "--seed" => cfg.seed = args.value(&flag)?,
+            "--per-class" => cfg.per_class = args.value(&flag)?,
+            "--fuel" => cfg.fuel = args.value(&flag)?,
+            "--jobs" => cfg.jobs = args.jobs(&flag)?,
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
     Ok(cfg)
 }
 
-fn main() {
-    let cfg = match parse_args() {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("validate_campaign: {e}");
-            std::process::exit(2);
-        }
-    };
-
+fn run(cfg: &CampaignCfg) -> Result<(), Fail> {
     println!("phase 1: honest-compilation gate (seed={})", cfg.seed);
-    match honest_gate(cfg.seed, cfg.jobs) {
-        Ok(n) => println!("  {n} compilations statically clean"),
-        Err(e) => {
-            eprintln!("validate_campaign: honest gate failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    let n = honest_gate(cfg.seed, cfg.jobs)
+        .map_err(|e| Fail::Finding(format!("honest gate failed: {e}")))?;
+    println!("  {n} compilations statically clean");
 
     println!(
         "phase 2: static-vs-dynamic matrix (seed={} per-class={} fuel={})",
         cfg.seed, cfg.per_class, cfg.fuel
     );
-    let report = match run_campaign(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("validate_campaign: {e}");
-            std::process::exit(2);
-        }
-    };
+    let report = run_campaign(cfg).map_err(Fail::Usage)?;
     println!(
         "{:<24} {:>8} {:>7} {:>8} {:>5} {:>12} {:>13} {:>8}",
         "class", "mutants", "static", "dynamic", "both", "static-only", "dynamic-only", "escaped"
@@ -191,10 +166,18 @@ fn main() {
     // rtl-constant-drift gap (DESIGN.md §12), every class must be fully
     // caught statically — escapes are regressions, not known limitations.
     if caught < report.stats.len() {
-        eprintln!(
-            "validate_campaign: only {caught}/{} classes caught statically (need all)",
+        return Err(Fail::Finding(format!(
+            "only {caught}/{} classes caught statically (need all)",
             report.stats.len()
-        );
-        std::process::exit(1);
+        )));
     }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    campaign::main(
+        "validate_campaign [--seed N] [--per-class N] [--fuel N] [--jobs N|auto]",
+        parse_args,
+        run,
+    )
 }

@@ -21,6 +21,7 @@
 use std::collections::BTreeMap;
 
 use compiler::json::{self, Json};
+use compiler::Counters;
 
 /// Schema stamped on every campaign checkpoint.
 pub const CKPT_SCHEMA: &str = "compcerto-ckpt/1";
@@ -98,16 +99,29 @@ pub fn remove(path: &str) {
     }
 }
 
-/// Decode a JSON object whose members are all unsigned integers.
+/// The unsigned integer member `key` of a checkpoint object.
 ///
 /// # Errors
-/// Reports the first non-integer member.
-pub fn u64_map(j: &Json, what: &str) -> Result<BTreeMap<String, u64>, String> {
+/// A missing or non-integer member.
+pub fn u64_field(doc: &Json, key: &str) -> Result<u64, String> {
+    doc.get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("missing `{key}`"))
+}
+
+/// Decode the member `key`, an object whose members are all unsigned
+/// integers.
+///
+/// # Errors
+/// A missing member, or the first non-integer entry.
+pub fn u64_map(doc: &Json, key: &str) -> Result<BTreeMap<String, u64>, String> {
+    let obj = doc
+        .get(key)
+        .and_then(Json::as_obj)
+        .ok_or_else(|| format!("missing object `{key}`"))?;
     let mut out = BTreeMap::new();
-    for (k, v) in j.as_obj().ok_or_else(|| format!("{what}: not an object"))? {
-        let n = v
-            .as_u64()
-            .ok_or_else(|| format!("{what}.{k}: not a u64"))?;
+    for (k, v) in obj {
+        let n = v.as_u64().ok_or_else(|| format!("{key}.{k}: not a u64"))?;
         out.insert(k.clone(), n);
     }
     Ok(out)
@@ -122,6 +136,103 @@ pub fn u64_map_json(map: &BTreeMap<String, u64>) -> String {
         .map(|(k, v)| format!("\"{}\": {v}", json_str(k)))
         .collect();
     format!("{{{}}}", members.join(", "))
+}
+
+/// Encode deterministic counters like [`u64_map_json`].
+#[must_use]
+pub fn counters_json(counters: &Counters) -> String {
+    let owned = counters.0.iter().map(|(k, v)| ((*k).to_string(), *v)).collect();
+    u64_map_json(&owned)
+}
+
+/// Decode the map member `key` like [`u64_map`], mapping each name back
+/// to its `&'static` key through `intern`.
+///
+/// # Errors
+/// A malformed member or a name `intern` does not know.
+pub fn interned(
+    doc: &Json,
+    key: &str,
+    intern: impl Fn(&str) -> Option<&'static str>,
+) -> Result<BTreeMap<&'static str, u64>, String> {
+    u64_map(doc, key)?
+        .into_iter()
+        .map(|(k, v)| {
+            intern(&k)
+                .map(|name| (name, v))
+                .ok_or_else(|| format!("{key}: unknown key `{k}`"))
+        })
+        .collect()
+}
+
+/// Decode the counters member `key` (see [`interned`]).
+///
+/// # Errors
+/// A malformed member or a counter name `intern` does not know.
+pub fn counters(
+    doc: &Json,
+    key: &str,
+    intern: fn(&str) -> Option<&'static str>,
+) -> Result<Counters, String> {
+    interned(doc, key, intern).map(Counters)
+}
+
+/// One campaign finding, owned so that checkpoints round-trip it.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Finding {
+    /// The generator seed.
+    pub seed: u64,
+    /// The finding's kind.
+    pub kind: String,
+    /// What disagreed.
+    pub detail: String,
+    /// Statements in the shrunk reproducer (`-1` when none).
+    pub stmts: i64,
+    /// The shrunk reproducer (empty when none).
+    pub source: String,
+}
+
+/// Encode findings as a JSON array, one row per line.
+#[must_use]
+pub fn findings_json(rows: &[Finding]) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|f| {
+            format!(
+                "\n    {{\"seed\": {}, \"kind\": \"{}\", \"detail\": \"{}\", \
+                 \"stmts\": {}, \"source\": \"{}\"}}",
+                f.seed,
+                json_str(&f.kind),
+                json_str(&f.detail),
+                f.stmts,
+                json_str(&f.source)
+            )
+        })
+        .collect();
+    format!("[{}\n  ]", rows.join(","))
+}
+
+/// Decode the findings array written by [`findings_json`].
+///
+/// # Errors
+/// A missing array or a row without a seed.
+pub fn findings(doc: &Json) -> Result<Vec<Finding>, String> {
+    let rows = doc
+        .get("findings")
+        .and_then(Json::as_arr)
+        .ok_or("missing `findings`")?;
+    let text = |f: &Json, key: &str| f.get(key).and_then(Json::as_str).unwrap_or("").to_string();
+    rows.iter()
+        .map(|f| {
+            Ok(Finding {
+                seed: u64_field(f, "seed")?,
+                kind: text(f, "kind"),
+                detail: text(f, "detail"),
+                stmts: f.get("stmts").and_then(Json::as_i64).unwrap_or(-1),
+                source: text(f, "source"),
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -153,9 +264,32 @@ mod tests {
         let mut m = BTreeMap::new();
         m.insert("lts.runs".to_string(), u64::MAX - 1);
         m.insert("mem.allocs".to_string(), 0);
-        let encoded = u64_map_json(&m);
+        let encoded = format!("{{\"m\": {}}}", u64_map_json(&m));
         let parsed = compiler::json::parse(&encoded).expect("parses");
         let back = u64_map(&parsed, "m").expect("decodes");
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn findings_round_trip_through_json() {
+        let rows = vec![
+            Finding {
+                seed: 7,
+                kind: "disagree".to_string(),
+                detail: "rtl says \"3\"\n".to_string(),
+                stmts: 2,
+                source: "int f() {\n\treturn 1;\n}".to_string(),
+            },
+            Finding {
+                seed: 9,
+                kind: "stuck".to_string(),
+                detail: String::new(),
+                stmts: -1,
+                source: String::new(),
+            },
+        ];
+        let doc = format!("{{\"findings\": {}}}", findings_json(&rows));
+        let parsed = compiler::json::parse(&doc).expect("parses");
+        assert_eq!(findings(&parsed).expect("decodes"), rows);
     }
 }

@@ -5,6 +5,7 @@
 //! `benches/` measure the machinery itself, using the offline
 //! [`microbench`] harness.
 
+pub mod campaign;
 pub mod ckpt;
 pub mod microbench;
 

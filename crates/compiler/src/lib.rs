@@ -67,7 +67,8 @@ pub use sched::{
     SCHED_AUX_SALT, SCHED_COUNTER_KEYS,
 };
 pub use serve::{
-    run_stdio, run_unix, ServeConfig, Server, CACHE_SCHEMA, MAX_FRAME_BYTES, SERVE_SCHEMA,
+    fnv1a, run_stdio, run_unix, ServeConfig, Server, CACHE_SCHEMA, FNV_OFFSET, MAX_FRAME_BYTES,
+    SERVE_SCHEMA,
 };
 pub use validate::validate_unit;
 pub use workload::{WorkloadCfg, WorkloadGen};

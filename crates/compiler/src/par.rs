@@ -33,10 +33,24 @@
 //! workers always run their loop to completion, so every `join` returns and
 //! the pool cannot hang (regression-tested below).
 //!
+//! # Nested pools run inline
+//!
+//! A pool started from inside a pool item (a `compile_all` inside a
+//! campaign seed, say) runs its items on the item's own thread, as if its
+//! `jobs` were 1. This is a policy, not an option. The outer pool already
+//! occupies the cores, so nested fan-out would only oversubscribe them
+//! (`jobs × cores` threads). It would also move the inner work onto helper
+//! threads whose thread-local state the item never sees: the deterministic
+//! counters of [`crate::obs`] and the fault arming of [`crate::envfault`].
+//! Run inline, an item's counters are a fact about its work, the same on
+//! one core as on sixteen. Top-level calls keep their full fan-out.
+//!
 //! Everything here is `std`-only (`std::thread::scope`); the workspace stays
 //! offline and dependency-free.
 
 use std::any::Any;
+use std::cell::Cell;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -144,10 +158,33 @@ pub fn available_parallelism() -> usize {
 /// rendered message (for diagnostics).
 type PanicRecord = (Box<dyn Any + Send>, String);
 
+thread_local! {
+    /// Set while this thread runs a pool item; a pool started meanwhile
+    /// runs inline (see the module docs).
+    static IN_ITEM: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as running a pool item until dropped, then
+/// restores the previous mark (so an unwinding item cannot leave it set).
+struct ItemGuard(bool);
+
+impl ItemGuard {
+    fn enter() -> ItemGuard {
+        ItemGuard(IN_ITEM.with(|c| c.replace(true)))
+    }
+}
+
+impl Drop for ItemGuard {
+    fn drop(&mut self) {
+        IN_ITEM.with(|c| c.set(self.0));
+    }
+}
+
 /// Run item `i` through the worker-panic injection point and `run`,
 /// containing any panic and retrying **exactly once** on the same
 /// (surviving) worker. `Err` carries the second, deterministic panic.
 fn run_healed<R>(i: usize, run: impl Fn() -> R) -> Result<R, PanicRecord> {
+    let _item = ItemGuard::enter();
     match contain_unwind(|| {
         crate::envfault::maybe_worker_panic(i);
         run()
@@ -182,72 +219,10 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = jobs.resolve().min(items.len().max(1));
-    note_pool(workers, items.len());
-    if workers <= 1 || items.len() <= 1 {
-        // Exact serial behavior: same loop, same order, no threads — with
-        // the same single-retry healing as the pooled path.
-        note_worker_items(items.len());
-        let mut out = Vec::with_capacity(items.len());
-        for (i, t) in items.iter().enumerate() {
-            match run_healed(i, || f(i, t)) {
-                Ok(r) => out.push(r),
-                Err(record) => reraise(i, record),
-            }
-        }
-        return out;
+    match try_par_map(jobs, items, |i, t| Ok::<R, Infallible>(f(i, t))) {
+        Ok(out) => out,
+        Err(never) => match never {},
     }
-    let next = AtomicUsize::new(0);
-    let poisoned: Mutex<Vec<(usize, PanicRecord)>> = Mutex::new(Vec::new());
-    let mut tagged: Vec<(usize, R)> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let next = &next;
-            let poisoned = &poisoned;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    match run_healed(i, || f(i, &items[i])) {
-                        Ok(r) => local.push((i, r)),
-                        // A twice-panicking item is recorded, never
-                        // unwound: the dispatch loop always completes, so
-                        // no join can hang on a stranded index.
-                        Err(record) => {
-                            if let Ok(mut p) = poisoned.lock() {
-                                p.push((i, record));
-                            }
-                        }
-                    }
-                }
-                note_worker_items(local.len());
-                local
-            }));
-        }
-        for h in handles {
-            // Workers contain every item panic, so `join` cannot fail; a
-            // poisoned join (unreachable) simply contributes no results.
-            if let Ok(local) = h.join() {
-                tagged.extend(local);
-            }
-        }
-    });
-    let poisoned = poisoned
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // Selection by index, not arrival: the panic the serial loop would
-    // have surfaced first wins, regardless of worker scheduling.
-    if let Some((i, record)) = poisoned.into_iter().min_by_key(|(i, _)| *i) {
-        reraise(i, record);
-    }
-    // Reassemble in input order: scheduling order never escapes.
-    tagged.sort_by_key(|(i, _)| *i);
-    tagged.into_iter().map(|(_, r)| r).collect()
 }
 
 /// [`par_map`] for fallible item functions, with serial error semantics:
@@ -273,7 +248,11 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    let workers = jobs.resolve().min(items.len().max(1));
+    let workers = if IN_ITEM.with(Cell::get) {
+        1
+    } else {
+        jobs.resolve().min(items.len().max(1))
+    };
     note_pool(workers, items.len());
     if workers <= 1 || items.len() <= 1 {
         // Exact serial behavior: stop at the first error — with the same
@@ -587,6 +566,54 @@ mod tests {
                 !crate::envfault::worker_panic_pending(),
                 "the armed fault must have fired (jobs={jobs:?})"
             );
+        }
+    }
+
+    /// A pool started inside a pool item runs every inner item on the
+    /// outer item's thread, whatever the inner `jobs`, under a serial and
+    /// a threaded outer pool.
+    #[test]
+    fn nested_pool_runs_on_the_items_own_thread() {
+        let outer: Vec<u32> = (0..8).collect();
+        let inner: Vec<u32> = (0..16).collect();
+        for jobs in [Jobs::N(1), Jobs::N(4)] {
+            let inline = par_map(jobs, &outer, |_, _| {
+                let me = std::thread::current().id();
+                par_map(Jobs::N(4), &inner, |_, _| std::thread::current().id() == me)
+                    .into_iter()
+                    .all(|same| same)
+            });
+            assert!(inline.into_iter().all(|same| same), "jobs={jobs:?}");
+            assert!(!IN_ITEM.with(Cell::get), "jobs={jobs:?}");
+        }
+    }
+
+    /// A deterministic panic in an inner item unwinds through both pools
+    /// and leaves the nesting mark as it found it: still set inside the
+    /// outer item, clear outside every pool.
+    #[test]
+    fn panicking_inner_item_restores_the_nesting_mark() {
+        let inner: Vec<u32> = (0..4).collect();
+        for jobs in [Jobs::N(1), Jobs::N(4)] {
+            let marks = par_map(jobs, &[0u32, 1], |_, _| {
+                let r = crate::resilience::contain(|| {
+                    par_map(Jobs::N(4), &inner, |i, x| {
+                        if i == 2 {
+                            panic!("poisoned inner item");
+                        }
+                        *x
+                    })
+                });
+                (r.is_err(), IN_ITEM.with(Cell::get))
+            });
+            assert_eq!(marks, vec![(true, true); 2], "jobs={jobs:?}");
+            let r = crate::resilience::contain(|| {
+                par_map(jobs, &inner, |_, _| -> u32 {
+                    panic!("poisoned outer item")
+                })
+            });
+            assert!(r.is_err());
+            assert!(!IN_ITEM.with(Cell::get), "jobs={jobs:?}");
         }
     }
 

@@ -72,10 +72,15 @@ pub const MAX_FRAME_BYTES: usize = 4 << 20;
 // Fingerprints and cache keys
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64 offset basis: the initial accumulator of [`fnv1a`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
+/// Fold `bytes` into the FNV-1a 64 accumulator `init` (start from
+/// [`FNV_OFFSET`]). The one FNV-1a of the workspace: cache keys here, and
+/// the verdict and artifact checksums of the campaign binaries.
+#[must_use]
+pub fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
     let mut h = init;
     for &b in bytes {
         h ^= u64::from(b);

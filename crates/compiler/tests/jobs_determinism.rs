@@ -30,7 +30,11 @@ fn jobs4_matches_jobs1_on_fixed_corpus() {
         "long g(long x) { long y; y = x * 3 - 1; return y; }",
         "int h(int n) { int i; int s; s = 0; for (i = 0; i < n; i = i + 1) { s = s + i; } return s; }",
     ];
-    for opts in [CompilerOptions::default(), CompilerOptions::none()] {
+    for opts in [
+        CompilerOptions::default(),
+        CompilerOptions::none(),
+        CompilerOptions::validated(),
+    ] {
         let serial = asm_dump(&srcs, opts, Jobs::N(1));
         let par = asm_dump(&srcs, opts, Jobs::N(4));
         assert_eq!(serial, par, "Asm output depends on the worker count");
